@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -73,6 +74,9 @@ type Controller struct {
 	grantSlot  map[job.ID]int
 	pending    []*job.Job
 	pendingIDs map[job.ID]bool
+
+	// adjustIDs is adjustActive's reused job-ID scratch.
+	adjustIDs []job.ID
 }
 
 // NewController builds a controller over the cluster.
@@ -152,13 +156,24 @@ func (c *Controller) ObserveSlot(unused []resource.Vector) ([]Grant, error) {
 
 // adjustActive re-sizes live grants to their jobs' current demand when the
 // scheme supports dynamic adjustment (CORP's "dynamically allocates the
-// corrected amount"). Callers observe the new sizes via Grants.
+// corrected amount"). Callers observe the new sizes via Grants. Grants are
+// visited in ascending job-ID order: each one folds into the float ledgers
+// oppInUse/freshInUse, and float addition is not associative, so a map's
+// random order would make the ledgers, and every later placement, vary
+// from run to run.
 func (c *Controller) adjustActive() {
 	adj, ok := c.sched.(scheduler.Adjuster)
 	if !ok {
 		return
 	}
-	for id, g := range c.active {
+	ids := c.adjustIDs[:0]
+	for id := range c.active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	c.adjustIDs = ids
+	for _, id := range ids {
+		g := c.active[id]
 		spec := c.specs[id]
 		if spec == nil {
 			continue

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -342,4 +345,109 @@ func TestGrantsSnapshotAndAdjustment(t *testing.T) {
 	if c.Grants()[5].Alloc.At(resource.CPU) > 900 {
 		t.Error("snapshot mutation leaked into the controller")
 	}
+}
+
+// TestControllerGrantsDeterministic drives two controllers with the same
+// seed through the same telemetry, arrivals, releases and VMDown/VMUp
+// schedule, and demands bitwise-identical grant sequences and ledgers
+// after every slot. Live grants are re-sized in adjustActive, whose
+// float ledger updates must not depend on map iteration order.
+func TestControllerGrantsDeterministic(t *testing.T) {
+	slots := 400
+	if testing.Short() {
+		slots = 150
+	}
+	a := controllerTranscript(t, slots)
+	b := controllerTranscript(t, slots)
+	if len(a) != len(b) {
+		t.Fatalf("transcripts differ in length: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("transcripts diverge at entry %d:\n  %s\n  %s", i, a[i], b[i])
+		}
+	}
+}
+
+// controllerTranscript runs a seeded closed loop and returns one line per
+// grant and per slot ledger state, with floats as exact bit patterns.
+func controllerTranscript(t *testing.T, slots int) []string {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Profile: cluster.ProfileCluster, NumPMs: 4, NumVMs: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range cl.VMs {
+		if err := vm.Reserve(vm.Capacity.Scale(0.6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := NewController(cl, Config{Seed: 7, Predictor: predict.CorpConfig{Pth: 0.05, Epsilon: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	bits := func(v resource.Vector) string {
+		return fmt.Sprintf("%x/%x/%x", math.Float64bits(v[0]), math.Float64bits(v[1]), math.Float64bits(v[2]))
+	}
+	var out []string
+	due := map[int][]job.ID{}
+	upAt := map[int][]int{}
+	unused := make([]resource.Vector, len(cl.VMs))
+	nextID := 0
+	for s := 0; s < slots; s++ {
+		for _, v := range upAt[s] {
+			if err := c.VMUp(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Float64() < 0.03 {
+			v := rng.Intn(len(cl.VMs))
+			lost, err := c.VMDown(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("slot %d down %d lost %v", s, v, lost))
+			up := s + 3 + rng.Intn(10)
+			upAt[up] = append(upAt[up], v)
+		}
+		var arr []*job.Job
+		for k := rng.Intn(4); k > 0; k-- {
+			dur := 2 + rng.Intn(12)
+			usage := make([]resource.Vector, dur)
+			for i := range usage {
+				usage[i] = resource.New(0.1+0.4*rng.Float64(), 0.2+rng.Float64(), 1+5*rng.Float64())
+			}
+			arr = append(arr, &job.Job{ID: job.ID(nextID), Duration: dur, SLOFactor: 2, Usage: usage,
+				Request: resource.New(0.5, 1.2, 6)})
+			nextID++
+		}
+		if err := c.Submit(arr); err != nil {
+			t.Fatal(err)
+		}
+		for v := range unused {
+			f := 0.5 + 0.5*math.Sin(float64(s+3*v)/7)
+			unused[v] = resource.New(1.5*f, 6*f, 60*f)
+		}
+		grants, err := c.ObserveSlot(unused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range grants {
+			out = append(out, fmt.Sprintf("slot %d grant %d vm %d opp %v %s", s, g.Job, g.VM, g.Opportunistic, bits(g.Alloc)))
+			end := s + 2 + int(g.Job)%9
+			due[end] = append(due[end], g.Job)
+		}
+		for _, id := range due[s] {
+			if _, live := c.active[id]; live {
+				if err := c.Release(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for v := range cl.VMs {
+			out = append(out, fmt.Sprintf("slot %d vm %d opp %s fresh %s", s, v, bits(c.OppInUse(v)), bits(c.FreshInUse(v))))
+		}
+	}
+	return out
 }

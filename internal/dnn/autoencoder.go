@@ -99,6 +99,7 @@ func (n *Network) Pretrain(inputs [][]float64, epochsPerLayer int, seed int64) e
 		w, b := ae.encoderWeights()
 		copy(n.weights[d], w)
 		copy(n.biases[d], b)
+		n.invalidateMirror()
 		// Feed the encoded representations to the next layer.
 		next := make([][]float64, len(current))
 		for i, in := range current {

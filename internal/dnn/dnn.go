@@ -21,7 +21,9 @@
 // Every kernel preserves the exact per-element floating-point accumulation
 // order of the original jagged implementation (ascending fan-in index),
 // so results are bit-identical to the seed — equivalence_test.go pins
-// this against a reconstructed jagged reference.
+// this against a reconstructed jagged reference. On AVX2 hardware the
+// training step runs vector kernels instead (kern.go), bit-identical to
+// the pure-Go ones, which stay as the fallback and the test oracle.
 package dnn
 
 import (
@@ -63,7 +65,13 @@ type Network struct {
 	// concurrent use (clone per goroutine instead).
 	acts   [][]float64
 	deltas [][]float64
-	tmp    []float64 // fused-backward accumulator, sized to the widest layer
+	tmp    []float64 // backward scratch (error sums or rate·δ), widest layer
+
+	// mirror[d] is the transposed copy of weights[d] the vector training
+	// path forwards with (kern.go); nil for narrow layers and until the
+	// first vector step. mirrorOK reports it equal to the transpose.
+	mirror   [][]float64
+	mirrorOK bool
 
 	// batch is the network-owned scratch behind ForwardBatch, grown lazily.
 	batch *BatchScratch
@@ -290,22 +298,40 @@ func (n *Network) ForwardInto(s *FwdScratch, input []float64) ([]float64, error)
 	return s.acts[len(s.acts)-1], nil
 }
 
-// trainOne is the fused forward+backward+update kernel for one sample.
-// Sizes must already be validated. For each hidden layer the Eq. 7
-// back-propagation and the Eq. 8 weight update share a single blocked pass
-// over the weight matrix: the error contribution is read from a weight
-// immediately before the update is written, so back-propagation sees
-// pre-update weights exactly as a two-pass implementation would.
+// trainOne is one SGD step on a validated (input, target) pair. It runs
+// the AVX2 kernels where the CPU has them and the pure-Go kernels
+// otherwise; both produce bit-identical networks and losses.
 func (n *Network) trainOne(input, target []float64) float64 {
-	n.forward(input)
+	if useVecKernels {
+		return n.trainOneVec(input, target)
+	}
+	return n.trainOneScalar(input, target)
+}
+
+// outputDeltas sets the output layer's error terms (Eq. 6) from the
+// forward pass in acts and returns the pre-update loss ½‖t−g‖².
+func (n *Network) outputDeltas(target []float64) float64 {
 	last := len(n.sizes) - 1
-	out := n.acts[last]
 	var loss float64
-	for i, g := range out {
+	for i, g := range n.acts[last] {
 		diff := target[i] - g
 		loss += 0.5 * diff * diff
 		n.deltas[last][i] = diff * sigmoidPrime(g) // Eq. 6
 	}
+	return loss
+}
+
+// trainOneScalar is the pure-Go fused forward+backward+update kernel for
+// one sample. For each hidden layer the Eq. 7 back-propagation and the
+// Eq. 8 weight update share a single blocked pass over the weight matrix:
+// the error contribution is read from a weight immediately before the
+// update is written, so back-propagation sees pre-update weights exactly
+// as a two-pass implementation would.
+func (n *Network) trainOneScalar(input, target []float64) float64 {
+	n.invalidateMirror()
+	n.forward(input)
+	last := len(n.sizes) - 1
+	loss := n.outputDeltas(target)
 	rate := n.rate
 	// Hidden layers: fused Eq. 7 + Eq. 8 over weights[d], d = last-1 … 1.
 	for d := last - 1; d >= 1; d-- {

@@ -141,6 +141,7 @@ func (t *MomentumTrainer) Step() error {
 			t.gB[d][i] = 0
 		}
 	}
+	n.invalidateMirror()
 	t.batch = 0
 	return nil
 }

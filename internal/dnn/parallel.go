@@ -154,4 +154,5 @@ func (n *Network) averageFrom(replicas []*Network) {
 		}
 		n.bslab[j] = sum * inv
 	}
+	n.invalidateMirror()
 }

@@ -153,6 +153,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"sizes":[2,1],"rate":0,"weights":[[[0.1,0.2]]],"biases":[[0]]}`,
 		`{"sizes":[2,1],"rate":0.5,"weights":[],"biases":[]}`,
 		`{"sizes":[2,1],"rate":0.5,"weights":[[[0.1]]],"biases":[[0]]}`,
+		`{"sizes":[0,1],"rate":0.5,"weights":[[[]]],"biases":[[0]]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

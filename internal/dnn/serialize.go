@@ -58,6 +58,11 @@ func LoadFrom(dec *json.Decoder) (*Network, error) {
 	if len(in.Sizes) < 2 {
 		return nil, fmt.Errorf("dnn: load: %d layers", len(in.Sizes))
 	}
+	for d, s := range in.Sizes {
+		if s < 1 {
+			return nil, fmt.Errorf("dnn: load: layer %d has size %d", d, s)
+		}
+	}
 	if in.Rate <= 0 {
 		return nil, fmt.Errorf("dnn: load: rate %v", in.Rate)
 	}
@@ -82,5 +87,6 @@ func LoadFrom(dec *json.Decoder) (*Network, error) {
 		}
 		copy(n.biases[d], in.Biases[d])
 	}
+	n.invalidateMirror()
 	return n, nil
 }
